@@ -170,6 +170,17 @@ DetailFixture& detail_fixture() {
   return f;
 }
 
+// Pre-route extraction, once per optimizer round: on M256 the ~770 ports
+// are where a per-net port rescan would dominate.
+void BM_ExtractPlacement(benchmark::State& state) {
+  auto& f = detail_fixture();
+  const tech::Tech tch{tech::Node::k45nm, tech::Style::k2D};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extract::extract_from_placement(f.nl, tch));
+  }
+}
+BENCHMARK(BM_ExtractPlacement)->Unit(benchmark::kMillisecond);
+
 /// The pre-kernel detailed placer: per-instance net vectors rebuilt from
 /// scratch and a per-net HPWL that rescans every chip port. Kept verbatim
 /// as the baseline BM_PlaceDetail is measured against.

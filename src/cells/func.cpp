@@ -48,42 +48,47 @@ bool func_from_string(const std::string& name, Func* out) {
   return false;
 }
 
-std::vector<std::string> input_pins(Func func) {
+const std::vector<std::string>& input_pins(Func func) {
+  static const std::vector<std::string> kA{"A"}, kAB{"A", "B"},
+      kABC{"A", "B", "C"}, kABCD{"A", "B", "C", "D"}, kABS{"A", "B", "S"},
+      kA12B{"A1", "A2", "B"}, kA12B12{"A1", "A2", "B1", "B2"},
+      kABCI{"A", "B", "CI"}, kDCK{"D", "CK"}, kNone;
   switch (func) {
     case Func::kInv:
-    case Func::kBuf: return {"A"};
+    case Func::kBuf: return kA;
     case Func::kNand2:
     case Func::kNor2:
     case Func::kAnd2:
     case Func::kOr2:
     case Func::kXor2:
     case Func::kXnor2:
-    case Func::kHa: return {"A", "B"};
+    case Func::kHa: return kAB;
     case Func::kNand3:
     case Func::kNor3:
     case Func::kAnd3:
-    case Func::kOr3: return {"A", "B", "C"};
+    case Func::kOr3: return kABC;
     case Func::kNand4:
     case Func::kNor4:
     case Func::kAnd4:
-    case Func::kOr4: return {"A", "B", "C", "D"};
-    case Func::kMux2: return {"A", "B", "S"};
+    case Func::kOr4: return kABCD;
+    case Func::kMux2: return kABS;
     case Func::kAoi21:
-    case Func::kOai21: return {"A1", "A2", "B"};
+    case Func::kOai21: return kA12B;
     case Func::kAoi22:
-    case Func::kOai22: return {"A1", "A2", "B1", "B2"};
-    case Func::kFa: return {"A", "B", "CI"};
-    case Func::kDff: return {"D", "CK"};
+    case Func::kOai22: return kA12B12;
+    case Func::kFa: return kABCI;
+    case Func::kDff: return kDCK;
   }
-  return {};
+  return kNone;
 }
 
-std::vector<std::string> output_pins(Func func) {
+const std::vector<std::string>& output_pins(Func func) {
+  static const std::vector<std::string> kSCo{"S", "CO"}, kQ{"Q"}, kZ{"Z"};
   switch (func) {
     case Func::kHa:
-    case Func::kFa: return {"S", "CO"};
-    case Func::kDff: return {"Q"};
-    default: return {"Z"};
+    case Func::kFa: return kSCo;
+    case Func::kDff: return kQ;
+    default: return kZ;
   }
 }
 

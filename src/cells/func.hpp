@@ -41,10 +41,11 @@ const char* to_string(Func func);
 /// Parses the name produced by to_string. Returns false on unknown names.
 bool func_from_string(const std::string& name, Func* out);
 
-/// Input pin names in canonical order (LSB first for truth tables).
-std::vector<std::string> input_pins(Func func);
-/// Output pin names.
-std::vector<std::string> output_pins(Func func);
+/// Input pin names in canonical order (LSB first for truth tables). The
+/// tables are static, so hot loops can look pins up without allocating.
+const std::vector<std::string>& input_pins(Func func);
+/// Output pin names (static table, like input_pins).
+const std::vector<std::string>& output_pins(Func func);
 int num_inputs(Func func);
 bool is_sequential(Func func);
 

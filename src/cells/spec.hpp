@@ -26,8 +26,8 @@ struct CellSpec {
   int drive = 1;           // X1 / X2 / X4 / X8
   std::vector<CellTransistor> transistors;
 
-  std::vector<std::string> inputs() const { return input_pins(func); }
-  std::vector<std::string> outputs() const { return output_pins(func); }
+  const std::vector<std::string>& inputs() const { return input_pins(func); }
+  const std::vector<std::string>& outputs() const { return output_pins(func); }
   bool sequential() const { return is_sequential(func); }
 
   /// All distinct net names, rails first ("VDD", "VSS"), then pins, then

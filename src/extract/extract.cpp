@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "circuit/index.hpp"
 #include "geom/rect.hpp"
 
 namespace m3d::extract {
@@ -63,6 +64,16 @@ Parasitics extract_from_placement(const circuit::Netlist& nl,
   const double node_scale = tech.node() == tech::Node::k7nm ? 7.0 / 45.0 : 1.0;
   const double t_local = 60.0 * node_scale;
   const double t_inter = 400.0 * node_scale;
+  // Per-level unit RC and via stacks depend on the tech only.
+  double unit_r[route::kNumLevels], unit_c[route::kNumLevels];
+  double via_r[route::kNumLevels], via_c[route::kNumLevels];
+  for (int l = 0; l < route::kNumLevels; ++l) {
+    const auto level = static_cast<route::Level>(l);
+    unit_r[l] = unit_r_kohm_um(tech, level);
+    unit_c[l] = unit_c_ff_um(tech, level);
+    via_rc(tech, level, &via_r[l], &via_c[l]);
+  }
+  const circuit::NetlistIndex idx(nl);
 
   for (circuit::NetId n = 0; n < nl.num_nets(); ++n) {
     const circuit::Net& net = nl.net(n);
@@ -72,8 +83,8 @@ Parasitics extract_from_placement(const circuit::Netlist& nl,
     for (const auto& s : net.sinks) {
       if (s.inst != circuit::kInvalid) box.expand(nl.inst(s.inst).pos);
     }
-    for (const auto& port : nl.ports()) {
-      if (port.net == n) box.expand(port.pos);
+    for (int pi : idx.ports_of_net(n)) {
+      box.expand(nl.ports()[static_cast<size_t>(pi)].pos);
     }
     if (box.empty()) continue;
     const double hpwl = box.half_perimeter();
@@ -81,12 +92,10 @@ Parasitics extract_from_placement(const circuit::Netlist& nl,
     const route::Level level =
         wl <= t_local ? route::kLocal
                       : (wl <= t_inter ? route::kIntermediate : route::kGlobal);
-    double vr = 0.0, vc = 0.0;
-    via_rc(tech, level, &vr, &vc);
     auto& p = par[static_cast<size_t>(n)];
     p.wirelength_um = wl;
-    p.wire_cap_ff = wl * unit_c_ff_um(tech, level) + 2.0 * vc;
-    p.wire_res_kohm = wl * unit_r_kohm_um(tech, level) + 2.0 * vr;
+    p.wire_cap_ff = wl * unit_c[level] + 2.0 * via_c[level];
+    p.wire_res_kohm = wl * unit_r[level] + 2.0 * via_r[level];
     // Pre-route: a single lumped resistance for all sinks.
   }
   return par;

@@ -166,7 +166,7 @@ Measurement run_comb_point(const cells::CellSpec& spec,
   const int out_node = st.cc.net_node.at(output);
   ckt.set_capacitor_ff(st.load_idx, load_ff);
 
-  const auto inputs = spec.inputs();
+  const auto& inputs = spec.inputs();
   const double t0 = 40.0;
   int in_node = -1;
   for (size_t i = 0; i < inputs.size(); ++i) {
@@ -275,7 +275,7 @@ Measurement run_dff_point(const SweepTemplate& st, double vdd, bool q_rise,
 double measure_leakage_uw(const cells::CellSpec& spec,
                           const cells::CellLayout& layout,
                           cells::SiliconModel silicon, double vdd) {
-  const auto inputs = spec.inputs();
+  const auto& inputs = spec.inputs();
   const int n = static_cast<int>(inputs.size());
   const bool seq = spec.sequential();
   const size_t states = size_t{1} << n;
@@ -513,8 +513,8 @@ LibCell characterize_cell(const cells::CellSpec& spec,
     }
     cell.arcs.push_back(std::move(arc));
   } else {
-    const auto inputs = spec.inputs();
-    const auto outputs = spec.outputs();
+    const auto& inputs = spec.inputs();
+    const auto& outputs = spec.outputs();
     const size_t nl = opt.loads_ff.size();
     const size_t np = slews.size() * nl;
     // SoA point buffers, shared by every arc of the cell (the grid is the

@@ -100,6 +100,17 @@ const LibCell* Library::pick(cells::Func func, int min_drive) const {
   return best != nullptr ? best : largest;
 }
 
+const LibCell* Library::next_smaller(cells::Func func, int drive) const {
+  const LibCell* best = nullptr;
+  for (const auto& c : cells_) {
+    if (c.func == func && c.drive < drive &&
+        (best == nullptr || c.drive > best->drive)) {
+      best = &c;
+    }
+  }
+  return best;
+}
+
 Library scale_to_7nm(const Library& lib45) {
   const tech::ScaleFactors f = tech::itrs_7nm_factors();
   Library out;

@@ -91,6 +91,10 @@ class Library {
   /// The smallest variant of `func` with drive >= min_drive (or the largest
   /// available if none reaches it). Null only if the func is absent.
   const LibCell* pick(cells::Func func, int min_drive = 1) const;
+  /// The variant of `func` with the largest drive below `drive` (the first
+  /// in library order on a drive tie), or null. Allocation-free, for sizing
+  /// loops that would otherwise call variants() per instance.
+  const LibCell* next_smaller(cells::Func func, int drive) const;
 
  private:
   std::vector<LibCell> cells_;

@@ -214,14 +214,7 @@ OptReport optimize(circuit::Netlist* nl, const liberty::Library& lib,
           if (inst.dead || inst.libcell == nullptr || inst.drive <= 1) continue;
           const double slack = timing.inst_slack_ps[static_cast<size_t>(i)];
           if (slack < margin_ps) continue;
-          // Next smaller variant.
-          const auto variants = lib.variants(inst.func);
-          const liberty::LibCell* smaller = nullptr;
-          for (const auto* v : variants) {
-            if (v->drive < inst.drive && (smaller == nullptr || v->drive > smaller->drive)) {
-              smaller = v;
-            }
-          }
+          const liberty::LibCell* smaller = lib.next_smaller(inst.func, inst.drive);
           if (smaller == nullptr) continue;
           const double slew = input_slew_of(*nl, timing, i);
           const double load = timing.load_ff[static_cast<size_t>(inst.out_nets[0])];

@@ -117,7 +117,7 @@ PowerResult run_power(const circuit::Netlist& nl, const extract::Parasitics& par
       if (s.inst == circuit::kInvalid) continue;
       const circuit::Instance& si = nl.inst(s.inst);
       if (si.libcell == nullptr) continue;
-      const auto pins = cells::input_pins(si.func);
+      const auto& pins = cells::input_pins(si.func);
       pin_c += si.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
     }
     // fF * V^2 * (1/ns) = uW.
@@ -143,7 +143,7 @@ PowerResult run_power(const circuit::Netlist& nl, const extract::Parasitics& par
       // Average the energy over this output's arcs.
       double e = 0.0;
       int cnt = 0;
-      const auto out_pins = cells::output_pins(inst.func);
+      const auto& out_pins = cells::output_pins(inst.func);
       for (const auto& arc : inst.libcell->arcs) {
         if (arc.to != out_pins[o]) continue;
         const double slew =

@@ -4,6 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <unordered_map>
+#include <vector>
 
 #include "exec/exec.hpp"
 #include "util/metrics.hpp"
@@ -15,14 +18,139 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::max() / 4;
 constexpr double kPoLoadFf = 2.0;  // assumed load on primary outputs
+// Minimum instances per pool task in a level sweep. Narrow levels (most of
+// them) run inline; the grain depends only on the bucket size, so chunk
+// boundaries never depend on the thread count.
+constexpr size_t kMinLevelGrain = 256;
 
-/// Pin capacitance of a sink (0 for primary outputs).
-double sink_cap_ff(const circuit::Netlist& nl, const circuit::PinRef& s) {
-  if (s.inst == circuit::kInvalid) return kPoLoadFf;
-  const circuit::Instance& inst = nl.inst(s.inst);
-  if (inst.libcell == nullptr) return 0.0;
-  const auto pins = cells::input_pins(inst.func);
-  return inst.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
+size_t level_grain(size_t n) {
+  return std::max(kMinLevelGrain, exec::chunk_grain(n, 0));
+}
+
+/// Flat, levelized view of a netlist for one STA call. Every name-keyed
+/// library lookup the propagation needs (input pin caps, arcs per
+/// input/output pair, the flop CK->Q arc) is resolved here once per
+/// distinct LibCell, so the passes below index flat arrays only.
+/// Input pins are numbered by slot: instance i owns slots
+/// [pin_off[i], pin_off[i+1]), one per in_nets entry.
+struct TimingGraph {
+  struct Cell {
+    size_t nin = 0;
+    size_t arc_off = 0;  // nin * nout arcs, output-major, in `arcs`
+    size_t cap_off = 0;  // nin input caps, used while building
+    const liberty::TimingArc* ck_q = nullptr;
+  };
+  std::vector<size_t> pin_off;
+  std::vector<double> pin_cap;  // per slot; 0 on unbound instances
+  std::vector<int> cell_of;     // per instance; -1 if unbound
+  std::vector<Cell> cells;
+  std::vector<const liberty::TimingArc*> arcs;
+  size_t max_out = 1;  // most outputs of any cell: the arc-delay stride
+  std::vector<circuit::InstId> order;  // nl.topo_order()
+  // Bound combinational instances bucketed by level (CSR over level_insts).
+  std::vector<size_t> level_off;
+  std::vector<circuit::InstId> level_insts;
+
+  size_t slot(const circuit::PinRef& s) const {
+    return pin_off[static_cast<size_t>(s.inst)] + static_cast<size_t>(s.pin);
+  }
+  const Cell& cell(circuit::InstId id) const {
+    return cells[static_cast<size_t>(cell_of[static_cast<size_t>(id)])];
+  }
+  const liberty::TimingArc* arc(const Cell& c, size_t p, size_t o) const {
+    return arcs[c.arc_off + o * c.nin + p];
+  }
+  size_t num_levels() const { return level_off.size() - 1; }
+  std::span<const circuit::InstId> level(size_t lv) const {
+    return {level_insts.data() + level_off[lv], level_off[lv + 1] - level_off[lv]};
+  }
+};
+
+TimingGraph build_graph(const circuit::Netlist& nl) {
+  const size_t num_inst = static_cast<size_t>(nl.num_instances());
+  TimingGraph g;
+  g.pin_off.assign(num_inst + 1, 0);
+  g.cell_of.assign(num_inst, -1);
+  std::vector<double> cell_caps;  // per cell, its nin input caps
+  // Lookup only (never iterated): cell ids follow first use in instance order.
+  std::unordered_map<const liberty::LibCell*, int> cell_id;
+  auto add_cell = [&](const liberty::LibCell& lc) {
+    const auto& in_pins = cells::input_pins(lc.func);
+    const auto& out_pins = cells::output_pins(lc.func);
+    TimingGraph::Cell c;
+    c.nin = in_pins.size();
+    c.arc_off = g.arcs.size();
+    g.max_out = std::max(g.max_out, out_pins.size());
+    for (const auto& out : out_pins) {
+      for (const auto& in : in_pins) g.arcs.push_back(lc.arc(in, out));
+    }
+    c.ck_q = lc.arc("CK", "Q");
+    c.cap_off = cell_caps.size();
+    for (const auto& in : in_pins) cell_caps.push_back(lc.input_cap_ff(in));
+    g.cells.push_back(c);
+  };
+  for (size_t i = 0; i < num_inst; ++i) {
+    const circuit::Instance& inst = nl.inst(static_cast<circuit::InstId>(i));
+    const size_t nin = inst.in_nets.size();
+    g.pin_off[i + 1] = g.pin_off[i] + nin;
+    if (inst.libcell == nullptr) {
+      g.pin_cap.resize(g.pin_off[i + 1], 0.0);
+      continue;
+    }
+    // Every binding path picks the cell by the instance's func, so the
+    // cell's pin names are the instance's.
+    assert(inst.libcell->func == inst.func);
+    const auto [it, fresh] =
+        cell_id.try_emplace(inst.libcell, static_cast<int>(g.cells.size()));
+    if (fresh) add_cell(*inst.libcell);
+    g.cell_of[i] = it->second;
+    const TimingGraph::Cell& cell = g.cells[static_cast<size_t>(it->second)];
+    assert(nin <= cell.nin);
+    const auto caps = cell_caps.begin() + static_cast<std::ptrdiff_t>(cell.cap_off);
+    g.pin_cap.insert(g.pin_cap.end(), caps, caps + static_cast<std::ptrdiff_t>(nin));
+  }
+
+  // Levels use the same edge rule as topo_order (combinational drivers
+  // only): a flop or primary input starts every path at level 0.
+  g.order = nl.topo_order();
+  std::vector<int> level(num_inst, 0);
+  std::vector<size_t> level_size;
+  for (circuit::InstId id : g.order) {
+    const circuit::Instance& inst = nl.inst(id);
+    int lv = 0;
+    if (!inst.sequential()) {
+      for (circuit::NetId in : inst.in_nets) {
+        const auto& drv = nl.net(in).driver;
+        if (drv.inst != circuit::kInvalid && !nl.inst(drv.inst).sequential()) {
+          lv = std::max(lv, level[static_cast<size_t>(drv.inst)] + 1);
+        }
+      }
+    }
+    level[static_cast<size_t>(id)] = lv;
+    if (inst.sequential() || inst.libcell == nullptr) continue;
+    if (static_cast<size_t>(lv) >= level_size.size()) {
+      level_size.resize(static_cast<size_t>(lv) + 1, 0);
+    }
+    ++level_size[static_cast<size_t>(lv)];
+  }
+  g.level_off.assign(level_size.size() + 1, 0);
+  for (size_t lv = 0; lv < level_size.size(); ++lv) {
+    g.level_off[lv + 1] = g.level_off[lv] + level_size[lv];
+  }
+  g.level_insts.resize(g.level_off.back());
+  std::vector<size_t> cursor(g.level_off.begin(), g.level_off.end() - 1);
+  for (circuit::InstId id : g.order) {
+    const circuit::Instance& inst = nl.inst(id);
+    if (inst.sequential() || inst.libcell == nullptr) continue;
+    g.level_insts[cursor[static_cast<size_t>(level[static_cast<size_t>(id)])]++] = id;
+  }
+  return g;
+}
+
+/// Pin capacitance of a sink (0 for unbound instances), as seen by STA:
+/// primary-output sinks carry the assumed pad load.
+double sink_cap_ff(const TimingGraph& g, const circuit::PinRef& s) {
+  return s.inst == circuit::kInvalid ? kPoLoadFf : g.pin_cap[g.slot(s)];
 }
 
 }  // namespace
@@ -44,6 +172,7 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   const int num_inst = nl.num_instances();
   const double clock_ps = opt.clock_ns * 1000.0;
   assert(static_cast<int>(par.size()) == num_nets);
+  const TimingGraph g = build_graph(nl);
 
   TimingResult r;
   r.arrival_ps.assign(static_cast<size_t>(num_nets), 0.0);
@@ -57,19 +186,18 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
     for (size_t n = nb; n < ne; ++n) {
       const circuit::Net& net = nl.net(static_cast<circuit::NetId>(n));
       double load = par[n].wire_cap_ff;
-      for (const auto& s : net.sinks) load += sink_cap_ff(nl, s);
+      for (const auto& s : net.sinks) load += sink_cap_ff(g, s);
       r.load_ff[n] = load;
     }
   });
 
-  // Arrival/slew at each instance input pin.
-  std::vector<std::vector<double>> arr_in(static_cast<size_t>(num_inst));
-  std::vector<std::vector<double>> slew_in(static_cast<size_t>(num_inst));
-  for (int i = 0; i < num_inst; ++i) {
-    const size_t nin = nl.inst(i).in_nets.size();
-    arr_in[static_cast<size_t>(i)].assign(nin, 0.0);
-    slew_in[static_cast<size_t>(i)].assign(nin, opt.primary_input_slew_ps);
-  }
+  // Arrival/slew at each instance input pin, by slot.
+  const size_t num_pins = g.pin_cap.size();
+  std::vector<double> arr_in(num_pins, 0.0);
+  std::vector<double> slew_in(num_pins, opt.primary_input_slew_ps);
+  // Cell delay of each arc, by (input slot, output): the backward pass needs
+  // the same lookups at the same (slew, load).
+  std::vector<double> arc_delay(num_pins * g.max_out);
 
   auto propagate_net = [&](circuit::NetId n) {
     const circuit::Net& net = nl.net(n);
@@ -77,12 +205,12 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
     for (size_t k = 0; k < net.sinks.size(); ++k) {
       const auto& s = net.sinks[k];
       if (s.inst == circuit::kInvalid) continue;
-      const double nd = net_delay_ps(p, k, sink_cap_ff(nl, s));
+      const size_t slot = g.slot(s);
+      const double nd = net_delay_ps(p, k, g.pin_cap[slot]);
       const double elmore = nd;
-      arr_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] =
-          r.arrival_ps[static_cast<size_t>(n)] + nd;
+      arr_in[slot] = r.arrival_ps[static_cast<size_t>(n)] + nd;
       const double sl = r.slew_ps[static_cast<size_t>(n)];
-      slew_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] =
+      slew_in[slot] =
           std::sqrt(sl * sl + opt.slew_degrade_k * opt.slew_degrade_k * elmore * elmore);
     }
   };
@@ -101,7 +229,7 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
     const circuit::Instance& inst = nl.inst(i);
     if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
     const circuit::NetId q = inst.out_nets[0];
-    const liberty::TimingArc* arc = inst.libcell->arc("CK", "Q");
+    const liberty::TimingArc* arc = g.cell(i).ck_q;
     const double load = r.load_ff[static_cast<size_t>(q)];
     r.arrival_ps[static_cast<size_t>(q)] =
         arc != nullptr ? arc->worst_delay(opt.clock_slew_ps, load) : 0.0;
@@ -111,57 +239,35 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   }
 
   // Forward pass over combinational instances, one topological level at a
-  // time. Levels use the same edge rule as topo_order (combinational
-  // drivers only), so every value an instance reads (its arr_in/slew_in,
-  // written by its drivers' propagate_net) is finalized by the barrier
-  // between levels. Within a level all writes are disjoint — an instance
-  // touches only its own output nets' arrival/slew and its sink pins'
-  // arr_in/slew_in, each of which has exactly one driver — so the chunks
-  // can run concurrently and the result is bit-identical to serial.
-  const std::vector<circuit::InstId> order = nl.topo_order();
-  util::count("sta.arrivals_propagated", static_cast<double>(order.size()));
-  std::vector<int> level(static_cast<size_t>(num_inst), 0);
-  std::vector<std::vector<circuit::InstId>> levels;
-  for (circuit::InstId id : order) {
-    const circuit::Instance& inst = nl.inst(id);
-    int lv = 0;
-    if (!inst.sequential()) {
-      for (circuit::NetId in : inst.in_nets) {
-        const auto& drv = nl.net(in).driver;
-        if (drv.inst != circuit::kInvalid && !nl.inst(drv.inst).sequential()) {
-          lv = std::max(lv, level[static_cast<size_t>(drv.inst)] + 1);
-        }
-      }
-    }
-    level[static_cast<size_t>(id)] = lv;
-    if (inst.sequential() || inst.libcell == nullptr) continue;
-    if (static_cast<size_t>(lv) >= levels.size()) {
-      levels.resize(static_cast<size_t>(lv) + 1);
-    }
-    levels[static_cast<size_t>(lv)].push_back(id);
-  }
-  util::set_gauge("sta.levels", static_cast<double>(levels.size()));
-  constexpr size_t kLevelGrain = 32;  // fixed => same chunks at any threads
-  for (const auto& bucket : levels) {
+  // time. Every value an instance reads (its input slots, written by its
+  // drivers' propagate_net) is finalized by the barrier between levels.
+  // Within a level all writes are disjoint — an instance touches only its
+  // own output nets' arrival/slew and its sink pins' slots, each of which
+  // has exactly one driver — so the chunks can run concurrently and the
+  // result is bit-identical to serial.
+  util::count("sta.arrivals_propagated", static_cast<double>(g.order.size()));
+  util::set_gauge("sta.levels", static_cast<double>(g.num_levels()));
+  for (size_t lv = 0; lv < g.num_levels(); ++lv) {
+    const auto bucket = g.level(lv);
     exec::parallel_for(
         bucket.size(),
         [&](size_t kb, size_t ke) {
           for (size_t k = kb; k < ke; ++k) {
             const circuit::InstId id = bucket[k];
             const circuit::Instance& inst = nl.inst(id);
-            const auto in_pins = cells::input_pins(inst.func);
-            const auto out_pins = cells::output_pins(inst.func);
+            const TimingGraph::Cell& cell = g.cell(id);
+            const size_t base = g.pin_off[static_cast<size_t>(id)];
             for (size_t o = 0; o < inst.out_nets.size(); ++o) {
               const circuit::NetId out = inst.out_nets[o];
               const double load = r.load_ff[static_cast<size_t>(out)];
               double arr = 0.0, slew = opt.primary_input_slew_ps;
               for (size_t p = 0; p < inst.in_nets.size(); ++p) {
-                const liberty::TimingArc* arc =
-                    inst.libcell->arc(in_pins[p], out_pins[o]);
+                const liberty::TimingArc* arc = g.arc(cell, p, o);
                 if (arc == nullptr) continue;
-                const double in_slew = slew_in[static_cast<size_t>(id)][p];
+                const double in_slew = slew_in[base + p];
                 const double d = arc->worst_delay(in_slew, load);
-                const double a = arr_in[static_cast<size_t>(id)][p] + d;
+                arc_delay[(base + p) * g.max_out + o] = d;
+                const double a = arr_in[base + p] + d;
                 if (a > arr) {
                   arr = a;
                   slew = arc->worst_slew(in_slew, load);
@@ -173,16 +279,13 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
             }
           }
         },
-        kLevelGrain);
+        level_grain(bucket.size()));
   }
 
   // Endpoint slacks: DFF D pins and primary outputs.
   r.wns_ps = kInf;
   r.tns_ps = 0.0;
-  std::vector<std::vector<double>> req_in(static_cast<size_t>(num_inst));
-  for (int i = 0; i < num_inst; ++i) {
-    req_in[static_cast<size_t>(i)].assign(nl.inst(i).in_nets.size(), kInf);
-  }
+  std::vector<double> req_in(num_pins, kInf);
   auto note_endpoint = [&](double arrival, double required,
                            circuit::NetId net) {
     const double slack = required - arrival;
@@ -199,9 +302,10 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
     const circuit::Instance& inst = nl.inst(i);
     if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
     // D pin is input 0 of the DFF.
-    const double arr = arr_in[static_cast<size_t>(i)][0];
+    const size_t d_slot = g.pin_off[static_cast<size_t>(i)];
+    const double arr = arr_in[d_slot];
     const double req = clock_ps - inst.libcell->setup_ps;
-    req_in[static_cast<size_t>(i)][0] = req;
+    req_in[d_slot] = req;
     note_endpoint(arr, req, inst.in_nets[0]);
   }
   for (circuit::NetId n = 0; n < num_nets; ++n) {
@@ -211,66 +315,56 @@ TimingResult run_sta(const circuit::Netlist& nl, const extract::Parasitics& par,
   }
   if (r.wns_ps >= kInf / 2) r.wns_ps = clock_ps;  // no endpoints
 
-  // Backward pass: required time at each net's driver pin. Levels run
-  // highest-first; an instance reads req_in of its sinks (all at strictly
-  // higher levels, or DFF D pins pre-set above) and writes only its own
-  // output nets' required_ps and its own req_in entries, so within a level
-  // the chunks are independent and the result matches the serial reverse
-  // topological sweep bit for bit.
-  for (auto lit = levels.rbegin(); lit != levels.rend(); ++lit) {
-    const auto& bucket = *lit;
-    exec::parallel_for(
-        bucket.size(),
-        [&](size_t kb, size_t ke) {
-          for (size_t k = kb; k < ke; ++k) {
-            const circuit::InstId id = bucket[k];
-            const circuit::Instance& inst = nl.inst(id);
-            const auto in_pins = cells::input_pins(inst.func);
-            const auto out_pins = cells::output_pins(inst.func);
-            // Required at each output net driver = min over sinks.
-            for (size_t o = 0; o < inst.out_nets.size(); ++o) {
-              const circuit::NetId out = inst.out_nets[o];
-              const circuit::Net& net = nl.net(out);
-              double req = net.is_primary_output ? clock_ps : kInf;
-              const auto& p = par[static_cast<size_t>(out)];
-              for (size_t sk = 0; sk < net.sinks.size(); ++sk) {
-                const auto& s = net.sinks[sk];
-                if (s.inst == circuit::kInvalid) continue;
-                const double nd = net_delay_ps(p, sk, sink_cap_ff(nl, s));
-                req = std::min(
-                    req, req_in[static_cast<size_t>(s.inst)]
-                               [static_cast<size_t>(s.pin)] - nd);
-              }
-              r.required_ps[static_cast<size_t>(out)] = req;
-              // Push through the cell to its input pins.
-              const double load = r.load_ff[static_cast<size_t>(out)];
-              for (size_t pi = 0; pi < inst.in_nets.size(); ++pi) {
-                const liberty::TimingArc* arc =
-                    inst.libcell->arc(in_pins[pi], out_pins[o]);
-                if (arc == nullptr) continue;
-                const double d =
-                    arc->worst_delay(slew_in[static_cast<size_t>(id)][pi], load);
-                req_in[static_cast<size_t>(id)][pi] =
-                    std::min(req_in[static_cast<size_t>(id)][pi], req - d);
-              }
-            }
-          }
-        },
-        kLevelGrain);
-  }
-  // Required at source nets (DFF outputs / PIs) for completeness.
-  for (circuit::NetId n = 0; n < num_nets; ++n) {
-    if (r.required_ps[static_cast<size_t>(n)] < kInf) continue;
+  // Required time at a net's driver pin: min over its sinks.
+  auto net_required = [&](circuit::NetId n) {
     const circuit::Net& net = nl.net(n);
     double req = net.is_primary_output ? clock_ps : kInf;
     const auto& p = par[static_cast<size_t>(n)];
     for (size_t k = 0; k < net.sinks.size(); ++k) {
       const auto& s = net.sinks[k];
       if (s.inst == circuit::kInvalid) continue;
-      const double nd = net_delay_ps(p, k, sink_cap_ff(nl, s));
-      req = std::min(req, req_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] - nd);
+      const size_t slot = g.slot(s);
+      const double nd = net_delay_ps(p, k, g.pin_cap[slot]);
+      req = std::min(req, req_in[slot] - nd);
     }
-    r.required_ps[static_cast<size_t>(n)] = req;
+    return req;
+  };
+
+  // Backward pass. Levels run highest-first; an instance reads the slots of
+  // its sinks (all at strictly higher levels, or DFF D pins pre-set above)
+  // and writes only its own output nets' required_ps and its own slots, so
+  // within a level the chunks are independent and the result matches the
+  // serial reverse topological sweep bit for bit.
+  for (size_t lv = g.num_levels(); lv-- > 0;) {
+    const auto bucket = g.level(lv);
+    exec::parallel_for(
+        bucket.size(),
+        [&](size_t kb, size_t ke) {
+          for (size_t k = kb; k < ke; ++k) {
+            const circuit::InstId id = bucket[k];
+            const circuit::Instance& inst = nl.inst(id);
+            const TimingGraph::Cell& cell = g.cell(id);
+            const size_t base = g.pin_off[static_cast<size_t>(id)];
+            for (size_t o = 0; o < inst.out_nets.size(); ++o) {
+              const circuit::NetId out = inst.out_nets[o];
+              const double req = net_required(out);
+              r.required_ps[static_cast<size_t>(out)] = req;
+              // Push through the cell to its input pins.
+              for (size_t pi = 0; pi < inst.in_nets.size(); ++pi) {
+                const liberty::TimingArc* arc = g.arc(cell, pi, o);
+                if (arc == nullptr) continue;
+                const double d = arc_delay[(base + pi) * g.max_out + o];
+                req_in[base + pi] = std::min(req_in[base + pi], req - d);
+              }
+            }
+          }
+        },
+        level_grain(bucket.size()));
+  }
+  // Required at source nets (DFF outputs / PIs) for completeness.
+  for (circuit::NetId n = 0; n < num_nets; ++n) {
+    if (r.required_ps[static_cast<size_t>(n)] < kInf) continue;
+    r.required_ps[static_cast<size_t>(n)] = net_required(n);
   }
 
   // Per-instance slack.
@@ -292,6 +386,7 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
                           const StaOptions& opt) {
   const int num_nets = nl.num_nets();
   const int num_inst = nl.num_instances();
+  const TimingGraph g = build_graph(nl);
   // Earliest arrival per net driver pin; min over arcs with *min* table
   // lookups (we reuse the NLDM tables; min over rise/fall).
   std::vector<double> early(static_cast<size_t>(num_nets), 0.0);
@@ -299,28 +394,24 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
   for (circuit::NetId n = 0; n < num_nets; ++n) {
     const circuit::Net& net = nl.net(n);
     double l = par[static_cast<size_t>(n)].wire_cap_ff;
+    // Unlike setup loads, primary-output sinks add no pad load here.
     for (const auto& s : net.sinks) {
       if (s.inst == circuit::kInvalid) continue;
-      const auto& si = nl.inst(s.inst);
-      if (si.libcell == nullptr) continue;
-      const auto pins = cells::input_pins(si.func);
-      l += si.libcell->input_cap_ff(pins[static_cast<size_t>(s.pin)]);
+      if (nl.inst(s.inst).libcell == nullptr) continue;
+      l += g.pin_cap[g.slot(s)];
     }
     load[static_cast<size_t>(n)] = l;
   }
-  std::vector<std::vector<double>> early_in(static_cast<size_t>(num_inst));
-  for (int i = 0; i < num_inst; ++i) {
-    early_in[static_cast<size_t>(i)].assign(nl.inst(i).in_nets.size(), 0.0);
-  }
+  std::vector<double> early_in(g.pin_cap.size(), 0.0);
   auto push = [&](circuit::NetId n) {
     const circuit::Net& net = nl.net(n);
     for (size_t k = 0; k < net.sinks.size(); ++k) {
       const auto& s = net.sinks[k];
       if (s.inst == circuit::kInvalid) continue;
+      const size_t slot = g.slot(s);
       const double nd =
-          net_delay_ps(par[static_cast<size_t>(n)], k, sink_cap_ff(nl, s));
-      early_in[static_cast<size_t>(s.inst)][static_cast<size_t>(s.pin)] =
-          early[static_cast<size_t>(n)] + nd;
+          net_delay_ps(par[static_cast<size_t>(n)], k, g.pin_cap[slot]);
+      early_in[slot] = early[static_cast<size_t>(n)] + nd;
     }
   };
   // Primary inputs are externally timed: their paths cannot create hold
@@ -336,7 +427,7 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
     const auto& inst = nl.inst(i);
     if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
     const circuit::NetId q = inst.out_nets[0];
-    const liberty::TimingArc* arc = inst.libcell->arc("CK", "Q");
+    const liberty::TimingArc* arc = g.cell(i).ck_q;
     double d = 0.0;
     if (arc != nullptr) {
       d = std::min(arc->delay[0].at(opt.clock_slew_ps, load[static_cast<size_t>(q)]),
@@ -345,24 +436,23 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
     early[static_cast<size_t>(q)] = d;
     push(q);
   }
-  for (circuit::InstId id : nl.topo_order()) {
+  for (circuit::InstId id : g.order) {
     const auto& inst = nl.inst(id);
     if (inst.sequential() || inst.libcell == nullptr) continue;
-    const auto in_pins = cells::input_pins(inst.func);
-    const auto out_pins = cells::output_pins(inst.func);
+    const TimingGraph::Cell& cell = g.cell(id);
+    const size_t base = g.pin_off[static_cast<size_t>(id)];
     for (size_t o = 0; o < inst.out_nets.size(); ++o) {
       const circuit::NetId out = inst.out_nets[o];
       double best = std::numeric_limits<double>::max();
       for (size_t p = 0; p < inst.in_nets.size(); ++p) {
-        const liberty::TimingArc* arc =
-            inst.libcell->arc(in_pins[p], out_pins[o]);
+        const liberty::TimingArc* arc = g.arc(cell, p, o);
         if (arc == nullptr) continue;
         const double d =
             std::min(arc->delay[0].at(opt.primary_input_slew_ps,
                                       load[static_cast<size_t>(out)]),
                      arc->delay[1].at(opt.primary_input_slew_ps,
                                       load[static_cast<size_t>(out)]));
-        best = std::min(best, early_in[static_cast<size_t>(id)][p] + d);
+        best = std::min(best, early_in[base + p] + d);
       }
       early[static_cast<size_t>(out)] =
           best == std::numeric_limits<double>::max() ? 0.0 : best;
@@ -374,7 +464,7 @@ HoldResult run_hold_check(const circuit::Netlist& nl,
   for (int i = 0; i < num_inst; ++i) {
     const auto& inst = nl.inst(i);
     if (inst.dead || !inst.sequential() || inst.libcell == nullptr) continue;
-    const double arr = early_in[static_cast<size_t>(i)][0];
+    const double arr = early_in[g.pin_off[static_cast<size_t>(i)]];
     if (arr > kExternallyTimed / 2) continue;  // PI-fed: externally timed
     const double slack = arr - inst.libcell->hold_ps;
     if (slack < res.worst_slack_ps) res.worst_slack_ps = slack;

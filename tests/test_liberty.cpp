@@ -63,6 +63,32 @@ TEST(Library, VariantsSortedByDrive) {
   for (size_t i = 1; i < v.size(); ++i) EXPECT_GT(v[i]->drive, v[i - 1]->drive);
 }
 
+TEST(Library, NextSmallerMatchesVariantsScan) {
+  const Library lib = test::make_test_library();
+  std::vector<cells::Func> funcs = cells::all_comb_funcs();
+  funcs.push_back(cells::Func::kDff);
+  for (cells::Func f : funcs) {
+    const auto v = lib.variants(f);
+    ASSERT_FALSE(v.empty()) << cells::to_string(f);
+    // Every drive in the library, plus one past each end.
+    std::vector<int> drives = {v.front()->drive - 1, v.back()->drive + 1};
+    for (const LibCell* c : v) drives.push_back(c->drive);
+    for (int drive : drives) {
+      // The scan the optimizer's downsizing loop used to run per instance.
+      const LibCell* want = nullptr;
+      for (const LibCell* c : v) {
+        if (c->drive < drive && (want == nullptr || c->drive > want->drive)) {
+          want = c;
+        }
+      }
+      EXPECT_EQ(lib.next_smaller(f, drive), want)
+          << cells::to_string(f) << " X" << drive;
+    }
+  }
+  EXPECT_EQ(lib.next_smaller(cells::Func::kInv, 1), nullptr);
+  EXPECT_EQ(lib.next_smaller(cells::Func::kInv, 4)->drive, 2);
+}
+
 TEST(Library, FindByName) {
   const Library lib = test::make_test_library();
   ASSERT_NE(lib.find("DFF_X2"), nullptr);

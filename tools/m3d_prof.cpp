@@ -20,11 +20,17 @@
 //   m3d_prof [--bench FPU] [--style 2D|T-MI|T-MI+M|both] [--clock ns]
 //            [--seed n] [--scale n] [--check none|basic|full]
 //            [--out-dir .] [--top 15]
+//
+// --out-dir is created (with any missing parents) before the flow runs; if
+// that fails, m3d_prof exits with status 2 before doing any work, so a long
+// profile is never thrown away for want of a directory.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "flow/flow.hpp"
@@ -158,6 +164,17 @@ int main(int argc, char** argv) {
                    arg.c_str());
       return 2;
     }
+  }
+
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (!ec && !std::filesystem::is_directory(out_dir, ec) && !ec) {
+    ec = std::make_error_code(std::errc::not_a_directory);
+  }
+  if (ec) {
+    std::fprintf(stderr, "m3d_prof: cannot create --out-dir %s: %s\n",
+                 out_dir.c_str(), ec.message().c_str());
+    return 2;
   }
 
   m3d::obs::set_thread_name("main");
