@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "cells/layout.hpp"
-#include "geom/rect.hpp"
 #include "exec/exec.hpp"
 #include "extract/extract.hpp"
 #include "gen/gen.hpp"
@@ -140,13 +139,11 @@ void BM_ParasiticExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_ParasiticExtraction)->Unit(benchmark::kMillisecond);
 
-// --- Incremental place/route cost kernels vs their pre-index baselines. ---
+// --- Incremental place/route cost kernels. --------------------------------
 //
 // The fixture runs M256 at the default paper-bench scale (scale_shift 1,
 // the size the flow actually uses) — the largest benchmark, and with ~770
-// ports the one where the old rescan-every-port HPWL loop hurt most. The
-// *Baseline benchmarks keep verbatim copies of the replaced loops so the
-// speedup stays measurable PR over PR.
+// ports the one where a rescan-every-port HPWL loop would hurt most.
 
 struct DetailFixture {
   liberty::Library lib = test::make_test_library();
@@ -181,109 +178,6 @@ void BM_ExtractPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractPlacement)->Unit(benchmark::kMillisecond);
 
-/// The pre-kernel detailed placer: per-instance net vectors rebuilt from
-/// scratch and a per-net HPWL that rescans every chip port. Kept verbatim
-/// as the baseline BM_PlaceDetail is measured against.
-void detail_place_baseline(circuit::Netlist* nl, const place::Die& die,
-                           int passes) {
-  std::vector<circuit::InstId> movable;
-  for (circuit::InstId i = 0; i < nl->num_instances(); ++i) {
-    if (!nl->inst(i).dead) movable.push_back(i);
-  }
-  std::vector<std::vector<circuit::NetId>> nets_of(
-      static_cast<size_t>(nl->num_instances()));
-  for (circuit::NetId ni = 0; ni < nl->num_nets(); ++ni) {
-    const circuit::Net& net = nl->net(ni);
-    if (net.is_clock || net.sinks.empty()) continue;
-    if (net.driver.inst != circuit::kInvalid) {
-      nets_of[static_cast<size_t>(net.driver.inst)].push_back(ni);
-    }
-    for (const auto& s : net.sinks) {
-      if (s.inst != circuit::kInvalid) {
-        nets_of[static_cast<size_t>(s.inst)].push_back(ni);
-      }
-    }
-  }
-  auto net_hpwl = [&](circuit::NetId ni) {
-    const circuit::Net& net = nl->net(ni);
-    geom::Rect box;
-    if (net.driver.inst != circuit::kInvalid) {
-      box.expand(nl->inst(net.driver.inst).pos);
-    }
-    for (const auto& s : net.sinks) {
-      if (s.inst != circuit::kInvalid) box.expand(nl->inst(s.inst).pos);
-    }
-    for (const auto& port : nl->ports()) {
-      if (port.net == ni) box.expand(port.pos);
-    }
-    return box.empty() ? 0.0 : box.half_perimeter();
-  };
-  auto inst_width = [](const circuit::Instance& inst) {
-    return inst.libcell != nullptr ? inst.libcell->width_um : 0.5;
-  };
-  for (int pass = 0; pass < passes; ++pass) {
-    std::vector<std::vector<std::pair<double, circuit::InstId>>> rows(
-        static_cast<size_t>(die.num_rows));
-    for (circuit::InstId i : movable) {
-      const auto& inst = nl->inst(i);
-      const int row = std::clamp(
-          static_cast<int>((inst.pos.y - die.core.ylo) / die.row_height_um),
-          0, die.num_rows - 1);
-      rows[static_cast<size_t>(row)].push_back({inst.pos.x, i});
-    }
-    for (auto& row : rows) std::sort(row.begin(), row.end());
-    for (circuit::InstId i : movable) {
-      auto& inst = nl->inst(i);
-      if (nets_of[static_cast<size_t>(i)].empty()) continue;
-      std::vector<double> xs, ys;
-      for (circuit::NetId ni : nets_of[static_cast<size_t>(i)]) {
-        const circuit::Net& net = nl->net(ni);
-        if (net.driver.inst != circuit::kInvalid && net.driver.inst != i) {
-          xs.push_back(nl->inst(net.driver.inst).pos.x);
-          ys.push_back(nl->inst(net.driver.inst).pos.y);
-        }
-        for (const auto& s : net.sinks) {
-          if (s.inst != circuit::kInvalid && s.inst != i) {
-            xs.push_back(nl->inst(s.inst).pos.x);
-            ys.push_back(nl->inst(s.inst).pos.y);
-          }
-        }
-      }
-      if (xs.empty()) continue;
-      std::nth_element(xs.begin(), xs.begin() + static_cast<long>(xs.size() / 2),
-                       xs.end());
-      std::nth_element(ys.begin(), ys.begin() + static_cast<long>(ys.size() / 2),
-                       ys.end());
-      const geom::Pt target{xs[xs.size() / 2], ys[ys.size() / 2]};
-      if (geom::manhattan(target, inst.pos) < die.row_height_um) continue;
-      const int trow = std::clamp(
-          static_cast<int>((target.y - die.core.ylo) / die.row_height_um), 0,
-          die.num_rows - 1);
-      auto& row = rows[static_cast<size_t>(trow)];
-      if (row.empty()) continue;
-      auto it = std::lower_bound(row.begin(), row.end(),
-                                 std::make_pair(target.x, circuit::InstId{0}));
-      if (it == row.end()) --it;
-      const circuit::InstId j = it->second;
-      if (j == i) continue;
-      auto& jnst = nl->inst(j);
-      if (std::abs(inst_width(jnst) - inst_width(inst)) > 1e-9) continue;
-      std::vector<circuit::NetId> affected = nets_of[static_cast<size_t>(i)];
-      affected.insert(affected.end(), nets_of[static_cast<size_t>(j)].begin(),
-                      nets_of[static_cast<size_t>(j)].end());
-      std::sort(affected.begin(), affected.end());
-      affected.erase(std::unique(affected.begin(), affected.end()),
-                     affected.end());
-      double before = 0.0;
-      for (circuit::NetId ni : affected) before += net_hpwl(ni);
-      std::swap(inst.pos, jnst.pos);
-      double after = 0.0;
-      for (circuit::NetId ni : affected) after += net_hpwl(ni);
-      if (after >= before) std::swap(inst.pos, jnst.pos);
-    }
-  }
-}
-
 void BM_PlaceDetail(benchmark::State& state) {
   auto& f = detail_fixture();
   for (auto _ : state) {
@@ -295,18 +189,6 @@ void BM_PlaceDetail(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlaceDetail)->Unit(benchmark::kMillisecond);
-
-void BM_PlaceDetailBaseline(benchmark::State& state) {
-  auto& f = detail_fixture();
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto nl = f.nl;
-    state.ResumeTiming();
-    detail_place_baseline(&nl, f.die, 2);
-    benchmark::DoNotOptimize(nl);
-  }
-}
-BENCHMARK(BM_PlaceDetailBaseline)->Unit(benchmark::kMillisecond);
 
 void BM_PlaceLegalize(benchmark::State& state) {
   auto& f = detail_fixture();
@@ -329,7 +211,7 @@ void BM_RouteMazeCongested(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteMazeCongested)->Unit(benchmark::kMillisecond);
 
-// --- Numeric kernel layer (src/numeric) vs retained dense baselines. -----
+// --- Numeric kernel layer (src/numeric). --------------------------------
 //
 // spice.newton_step: a transient run of the largest characterization
 // circuit (DFF_X4 with output load) — the Newton loop is assemble + factor
@@ -387,9 +269,8 @@ BENCHMARK(BM_SpiceNewtonStepDense)
     ->Name("spice.newton_step_dense")->Unit(benchmark::kMillisecond);
 
 // numeric.spmv: y = A x on a placement-connectivity-shaped matrix (2000
-// rows, ~8 nonzeros per row) vs the dense row-major mat-vec over the same
-// matrix — the memory-traffic ratio the CSR port buys everywhere SpMV runs
-// (CG iterations, residual checks).
+// rows, ~8 nonzeros per row), the product CG iterations and residual checks
+// run everywhere.
 
 numeric::Csr make_spmv_matrix(int n, int nnz_per_row) {
   util::Rng rng(7);
@@ -414,35 +295,9 @@ void BM_NumericSpmv(benchmark::State& state) {
 }
 BENCHMARK(BM_NumericSpmv)->Name("numeric.spmv");
 
-void BM_NumericSpmvDense(benchmark::State& state) {
-  const int n = 2000;
-  const numeric::Csr a = make_spmv_matrix(n, 8);
-  std::vector<double> dense(static_cast<size_t>(n) * n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    for (int k = a.row_ptr[static_cast<size_t>(i)];
-         k < a.row_ptr[static_cast<size_t>(i) + 1]; ++k) {
-      dense[static_cast<size_t>(i) * n + a.col[static_cast<size_t>(k)]] =
-          a.val[static_cast<size_t>(k)];
-    }
-  }
-  std::vector<double> x(static_cast<size_t>(n), 1.0), y(static_cast<size_t>(n));
-  for (auto _ : state) {
-    for (int i = 0; i < n; ++i) {
-      double sum = 0.0;
-      const double* row = &dense[static_cast<size_t>(i) * n];
-      for (int j = 0; j < n; ++j) sum += row[j] * x[static_cast<size_t>(j)];
-      y[static_cast<size_t>(i)] = sum;
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_NumericSpmvDense)->Name("numeric.spmv_dense");
-
 // char.arc_sweep: one NAND2 timing-arc sweep (3 slews x 3 loads x 2 edges)
 // in the characterizer's template shape — circuit built once, SimContext
-// prepared once, per-point clones only rewrite element values — vs the
-// pre-port shape that rebuilt the circuit (node map, MNA pattern, symbolic
-// analysis) from scratch at every grid point.
+// prepared once, per-point clones only rewrite element values.
 
 void BM_CharArcSweep(benchmark::State& state) {
   int load_idx = -1, in_src = -1;
@@ -472,40 +327,6 @@ void BM_CharArcSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_CharArcSweep)
     ->Name("char.arc_sweep")->Unit(benchmark::kMillisecond);
-
-void BM_CharArcSweepRebuild(benchmark::State& state) {
-  // The pre-port shape: spec and layout are fixed, but every grid point
-  // rebuilds the circuit (node map + element lists) and simulates without
-  // a shared context, so the MNA pattern and symbolic analysis are redone
-  // per point.
-  const cells::CellSpec spec = cells::make_spec(cells::Func::kNand2, 1);
-  const tech::Tech tch(tech::Node::k45nm, tech::Style::k2D);
-  const cells::CellLayout layout = cells::layout_2d(spec, tch);
-  const double slews[] = {7.5, 37.5, 150.0};
-  const double loads[] = {0.8, 3.2, 12.8};
-  for (auto _ : state) {
-    for (double slew : slews) {
-      for (double load : loads) {
-        for (bool rise : {false, true}) {
-          spice::Circuit ckt = liberty::make_cell_circuit(
-              spec, layout, cells::SiliconModel::kDielectric);
-          ckt.add_capacitor(ckt.find_node("Z"), 0, load);
-          ckt.add_source(ckt.find_node("VDD"), spice::Pwl::dc(1.1));
-          ckt.add_source(ckt.find_node("A"),
-                         spice::Pwl::ramp(40.0, slew, rise ? 0.0 : 1.1,
-                                          rise ? 1.1 : 0.0));
-          ckt.add_source(ckt.find_node("B"), spice::Pwl::dc(1.1));
-          spice::TranOptions opt;
-          opt.t_stop_ps = 40.0 + 4.0 * slew + 40.0 * (load / 3.2) + 160.0;
-          opt.dt_ps = std::max(0.02, std::min(slew / 12.0, opt.t_stop_ps / 2500.0));
-          benchmark::DoNotOptimize(spice::simulate(ckt, opt));
-        }
-      }
-    }
-  }
-}
-BENCHMARK(BM_CharArcSweepRebuild)
-    ->Name("char.arc_sweep_rebuild")->Unit(benchmark::kMillisecond);
 
 // --- Parallel kernel variants (Arg = exec pool thread count). ------------
 //

@@ -19,9 +19,6 @@
 //             [--retry-after-ms N] [--threads N] [--trace]
 //             [--port-file PATH] [--no-shutdown]
 //
-// (--cache-dir / --no-cache are accepted as aliases of --store-dir /
-// --no-store for pre-store scripts.)
-//
 // --port 0 (default) binds an ephemeral port; the bound port is printed on
 // stdout and, with --port-file, written to a file the CI smoke script (and
 // m3d_client --port-file) can poll. SIGINT/SIGTERM or a {"type":"shutdown"}
@@ -71,9 +68,9 @@ int main(int argc, char** argv) {
       opt.port = std::atoi(next());
     } else if (arg == "--unix") {
       opt.unix_path = next();
-    } else if (arg == "--store-dir" || arg == "--cache-dir") {
+    } else if (arg == "--store-dir") {
       opt.serve.store_dir = next();
-    } else if (arg == "--no-store" || arg == "--no-cache") {
+    } else if (arg == "--no-store") {
       opt.serve.store_dir.clear();
     } else if (arg == "--max-inflight") {
       opt.serve.max_inflight = std::atoi(next());
