@@ -214,11 +214,9 @@ BENCHMARK(BM_RouteMazeCongested)->Unit(benchmark::kMillisecond);
 // --- Numeric kernel layer (src/numeric). --------------------------------
 //
 // spice.newton_step: a transient run of the largest characterization
-// circuit (DFF_X4 with output load) — the Newton loop is assemble + factor
-// + two triangular solves per step, so the sparse-vs-dense ratio here is
-// the per-step linear-algebra win at characterization scale. The dense
-// baseline is the pre-port O(n^3)-per-step path, still selectable through
-// TranOptions::solver.
+// circuit (DFF_X4 with output load) — the Newton loop is one device
+// evaluation per MOSFET, finite-difference MOS stamps, sparse refactor and
+// two triangular solves per step.
 
 spice::Circuit make_char_circuit(cells::Func func, int drive, int* load_idx,
                                  int* in_src_idx) {
@@ -246,27 +244,18 @@ spice::Circuit make_char_circuit(cells::Func func, int drive, int* load_idx,
   return ckt;
 }
 
-void BM_SpiceNewtonStep(benchmark::State& state, spice::SolverKind kind) {
+void BM_SpiceNewtonStep(benchmark::State& state) {
   const spice::Circuit ckt =
       make_char_circuit(cells::Func::kDff, 4, nullptr, nullptr);
   spice::TranOptions opt;
   opt.t_stop_ps = 400.0;
   opt.dt_ps = 0.5;
-  opt.solver = kind;
   for (auto _ : state) {
     benchmark::DoNotOptimize(spice::simulate(ckt, opt));
   }
 }
-void BM_SpiceNewtonStepSparse(benchmark::State& state) {
-  BM_SpiceNewtonStep(state, spice::SolverKind::kSparse);
-}
-void BM_SpiceNewtonStepDense(benchmark::State& state) {
-  BM_SpiceNewtonStep(state, spice::SolverKind::kDense);
-}
-BENCHMARK(BM_SpiceNewtonStepSparse)
+BENCHMARK(BM_SpiceNewtonStep)
     ->Name("spice.newton_step")->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SpiceNewtonStepDense)
-    ->Name("spice.newton_step_dense")->Unit(benchmark::kMillisecond);
 
 // numeric.spmv: y = A x on a placement-connectivity-shaped matrix (2000
 // rows, ~8 nonzeros per row), the product CG iterations and residual checks

@@ -5,7 +5,8 @@
 
 namespace m3d::spice {
 
-double MosModel::ids(double vd, double vg, double vs) const {
+double MosModel::ids(double vd, double vg, double vs, const IdsMemo* reuse,
+                     IdsMemo* record) const {
   // Map to device polarity: for PMOS, mirror all voltages.
   double vds = vd - vs;
   double vgs = vg - vs;
@@ -22,14 +23,38 @@ double MosModel::ids(double vd, double vg, double vs) const {
   }
   const double vgt = vgs - vth_v;
   // Smooth saturation of the leakage term in vds (thermal voltage 26mV).
-  const double leak_sat = 1.0 - std::exp(-vds / 0.026);
+  const double leak_sat = reuse != nullptr && vds == reuse->vds
+                              ? reuse->leak_sat
+                              : 1.0 - std::exp(-vds / 0.026);
+  if (record != nullptr) {
+    record->vds = vds;
+    record->leak_sat = leak_sat;
+  }
   double id;
   if (vgt <= 0) {
     // Subthreshold slope anchored so that ioff is the current at vgs = 0.
-    id = ioff_ma_um * std::exp(vgs / subthreshold_swing_v) * leak_sat;
+    const double sub = reuse != nullptr && vgs == reuse->vgs
+                           ? reuse->sub_ma_um
+                           : ioff_ma_um * std::exp(vgs / subthreshold_swing_v);
+    if (record != nullptr) {
+      record->vgs = vgs;
+      record->sub_ma_um = sub;
+    }
+    id = sub * leak_sat;
   } else {
-    const double idsat = k_ma_um * std::pow(vgt, alpha);
-    const double vdsat = vdsat_coef * std::pow(vgt, alpha / 2.0);
+    double idsat, vdsat;
+    if (reuse != nullptr && vgt == reuse->vgt) {
+      idsat = reuse->idsat;
+      vdsat = reuse->vdsat;
+    } else {
+      idsat = k_ma_um * std::pow(vgt, alpha);
+      vdsat = vdsat_coef * std::pow(vgt, alpha / 2.0);
+    }
+    if (record != nullptr) {
+      record->vgt = vgt;
+      record->idsat = idsat;
+      record->vdsat = vdsat;
+    }
     if (vds >= vdsat) {
       id = idsat * (1.0 + lambda * (vds - vdsat));
     } else {
@@ -37,11 +62,28 @@ double MosModel::ids(double vd, double vg, double vs) const {
       id = idsat * x * (2.0 - x);
     }
     // Floor at the subthreshold value at vgt = 0 for continuity.
-    id = std::max(id, ioff_ma_um * std::exp(vth_v / subthreshold_swing_v) *
-                          leak_sat);
+    const double floor = reuse != nullptr
+                             ? reuse->floor_ma_um
+                             : ioff_ma_um * std::exp(vth_v / subthreshold_swing_v);
+    id = std::max(id, floor * leak_sat);
   }
   if (pmos) sign = -sign;
   return sign * id;
+}
+
+IdsMemo MosModel::memo() const {
+  IdsMemo m;
+  m.floor_ma_um = ioff_ma_um * std::exp(vth_v / subthreshold_swing_v);
+  return m;
+}
+
+MosConductance MosModel::fd_conductance(double vd, double vg, double vs,
+                                        double i0, const IdsMemo& memo) const {
+  MosConductance g;
+  g.gd = (ids(vd + kFdStepV, vg, vs, &memo) - i0) / kFdStepV;
+  g.gg = (ids(vd, vg + kFdStepV, vs, &memo) - i0) / kFdStepV;
+  g.gs = (ids(vd, vg, vs + kFdStepV, &memo) - i0) / kFdStepV;
+  return g;
 }
 
 MosModel ptm45_nmos() {

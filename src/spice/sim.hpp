@@ -5,9 +5,14 @@
 // MOSFET conductances change), so the solver computes a fill-reducing
 // ordering and symbolic factorization once and then only refactors numbers
 // per Newton step (numeric::SparseLu). Standard-cell MNA matrices are
-// >90% zero; the dense O(n^3)-per-step path is retained behind
-// TranOptions::solver as the benchmark baseline and as the automatic
-// fallback when a pivot falls below the relative singularity threshold.
+// >90% zero; a step whose pivot falls below the relative singularity
+// threshold is retried with dense partial pivoting on the same assembled
+// matrix.
+//
+// Each Newton iteration evaluates every MOSFET once at the iterate (for
+// the residual) and reuses that current as the base point of the
+// finite-difference Jacobian; a step that ends on the residual test hands
+// its node currents straight to the source-energy bookkeeping.
 //
 // Circuits with identical topology (the characterizer's whole (slew, load)
 // grid for an arc) can share one SimContext: the node mapping, MNA
@@ -24,12 +29,6 @@
 #include "spice/circuit.hpp"
 
 namespace m3d::spice {
-
-/// Which linear solver backs the Newton iterations.
-enum class SolverKind {
-  kSparse,  // symbolic-once sparse LU; dense fallback on small pivots
-  kDense,   // dense partial-pivot LU every step (benchmark baseline)
-};
 
 /// Test/bench hook: captures the first `max_systems` assembled Newton
 /// systems (Jacobian + residual) of a run. Single-threaded use only.
@@ -49,7 +48,6 @@ struct TranOptions {
   /// `tail_ps` of the run (for leakage measurements after a settling
   /// preamble).
   double tail_ps = 0.0;
-  SolverKind solver = SolverKind::kSparse;
   NewtonCapture* capture = nullptr;  // optional, see NewtonCapture
 };
 
@@ -99,7 +97,9 @@ class SimContext {
 
 /// Runs a transient analysis. Initial condition: free nodes start at their
 /// DC solution for the source values at t=0 (a Newton solve with capacitors
-/// open).
+/// open). Adds its work to the current metrics sink once per call:
+/// `spice.steps` (transient timesteps), `spice.newton_iters` (Newton linear
+/// solves, DC included) and `spice.device_evals` (MosModel::ids calls).
 TranResult simulate(const Circuit& ckt, const TranOptions& opt,
                     const SimContext* ctx = nullptr);
 
