@@ -38,7 +38,8 @@ int resolve_num_threads(const ExecOptions& opt) {
   return std::max(1, n);
 }
 
-ThreadPool::ThreadPool(const ExecOptions& opt) : opt_(opt) {
+ThreadPool::ThreadPool(const ExecOptions& opt)
+    : opt_(opt), queue_depth_gauge_("exec." + opt.name + ".queue_depth") {
   const int n = resolve_num_threads(opt_);
   if (n <= 1) return;  // serial fallback: no workers, submit runs inline
   local_.reserve(static_cast<size_t>(n));
@@ -107,7 +108,7 @@ void ThreadPool::submit(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(sleep_mu_);
     depth = ++queued_;
   }
-  util::MetricsRegistry::global().set_gauge("exec." + opt_.name + ".queue_depth",
+  util::MetricsRegistry::global().set_gauge(queue_depth_gauge_,
                                             static_cast<double>(depth));
   sleep_cv_.notify_one();
 }

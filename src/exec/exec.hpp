@@ -105,6 +105,7 @@ class ThreadPool {
   bool stop_ = false;          // guarded by sleep_mu_
   size_t queued_ = 0;          // guarded by sleep_mu_
   std::vector<std::thread> workers_;
+  const std::string queue_depth_gauge_;  // exec.<name>.queue_depth
 };
 
 /// Structured fan-out: run() submits, wait() blocks (helping execute pool

@@ -26,9 +26,22 @@ void Csr::spmv(const std::vector<double>& x, std::vector<double>& y) const {
 }
 
 double Csr::max_abs() const {
-  double m = 0.0;
-  for (double v : val) m = std::max(m, std::abs(v));
-  return m;
+  // Four independent std::max folds from +0.0, combined at the end. A lane
+  // never holds a NaN (std::max(m, NaN) keeps m) or a -0.0 (|v| is never
+  // -0.0), so every lane and the result is the exact maximum of a set of
+  // non-negative numbers: the same value a single serial fold gives, in
+  // any order, without the serial dependence chain.
+  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
+  const size_t n = val.size();
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    m0 = std::max(m0, std::abs(val[k]));
+    m1 = std::max(m1, std::abs(val[k + 1]));
+    m2 = std::max(m2, std::abs(val[k + 2]));
+    m3 = std::max(m3, std::abs(val[k + 3]));
+  }
+  for (; k < n; ++k) m0 = std::max(m0, std::abs(val[k]));
+  return std::max(std::max(m0, m1), std::max(m2, m3));
 }
 
 void CsrBuilder::add(int row, int col, double v) {

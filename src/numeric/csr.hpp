@@ -38,9 +38,9 @@ struct Csr {
   void spmv(const double* x, double* y) const;
   void spmv(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// Max |a_ij| over all stored entries (0 for an empty matrix) — the
-  /// scale that relative pivot/convergence thresholds are measured
-  /// against. Fixed scan order.
+  /// Max |a_ij| over all stored entries (0 for an empty matrix; NaN
+  /// entries are skipped, as by a `std::max` fold from +0.0) — the scale
+  /// that relative pivot/convergence thresholds are measured against.
   double max_abs() const;
 };
 

@@ -4,9 +4,11 @@
 // the sparse-vs-dense agreement on real MNA matrices captured from a
 // characterization circuit.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -145,6 +147,47 @@ TEST(Csr, ParallelChunkedAssemblyIsByteIdenticalToSerial) {
     for (size_t k = 0; k < ref.val.size(); ++k) {
       ASSERT_EQ(par.val[k], ref.val[k]) << threads << " threads, slot " << k;
     }
+  }
+}
+
+TEST(Csr, MaxAbsMatchesSerialStdMaxFoldBitwise) {
+  // The serial fold max_abs used to be: std::max from +0.0, which skips NaN
+  // entries and never returns -0.0.
+  auto naive = [](const std::vector<double>& val) {
+    double m = 0.0;
+    for (double v : val) m = std::max(m, std::abs(v));
+    return m;
+  };
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> fixed = {
+      {},
+      {-0.0},
+      {-0.0, -0.0, -0.0, -0.0, -0.0},
+      {nan},
+      {nan, nan, nan, nan, nan, nan, nan},
+      {nan, -3.0, nan, 2.0, nan},
+      {1.0, 2.0, 3.0, nan, -7.5, 4.0, nan},
+      {-inf, 1.0, nan},
+      {5e-324, -5e-324, 0.0},
+      {1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0},
+  };
+  util::Rng rng(2013);
+  std::vector<std::vector<double>> cases = fixed;
+  for (size_t len = 0; len <= 37; ++len) {
+    std::vector<double> v(len);
+    for (double& x : v) {
+      const double r = rng.uniform(0.0, 1.0);
+      x = r < 0.1 ? nan : (r < 0.2 ? -0.0 : rng.uniform(-1e3, 1e3));
+    }
+    cases.push_back(v);
+  }
+  for (size_t c = 0; c < cases.size(); ++c) {
+    numeric::Csr m;
+    m.val.assign(cases[c].begin(), cases[c].end());
+    EXPECT_EQ(bits(m.max_abs()), bits(naive(cases[c])))
+        << "case " << c << " (length " << cases[c].size() << ")";
   }
 }
 
