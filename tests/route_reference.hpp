@@ -4,8 +4,11 @@
 // which src/route/route.cpp replaced with an indexed heap and a maintained
 // edge-cost table. Only the metric counters, trace spans and the debug log
 // line were dropped, so calling the oracle does not disturb the counts the
-// tests check. `route::global_route` must match it exactly, field by field
-// (tests/test_route_oracle.cpp).
+// tests check. It shares the router's rip-up-and-reroute policy, including
+// the rule that a reroute keeps its preferred level only when the path fits
+// with the two-pin's own track, so the comparison isolates the maze kernel
+// and the batch schedule. `route::global_route` must match it exactly, field
+// by field (tests/test_route_oracle.cpp).
 #pragma once
 
 #include <algorithm>
@@ -119,14 +122,14 @@ class Grid {
     return over;
   }
 
-  bool path_overflows(int l, const std::vector<Cell>& path) const {
+  bool path_overflows(int l, const std::vector<Cell>& path, double extra = 0.0) const {
     for (size_t k = 0; k + 1 < path.size(); ++k) {
       const Cell& p = path[k];
       const Cell& q = path[k + 1];
       if (p.y == q.y) {
-        if (usage_h_[l][h_idx(std::min(p.x, q.x), p.y)] > cap_h[l] + 1e-9) return true;
+        if (usage_h_[l][h_idx(std::min(p.x, q.x), p.y)] + extra > cap_h[l] + 1e-9) return true;
       } else {
-        if (usage_v_[l][v_idx(p.x, std::min(p.y, q.y))] > cap_v[l] + 1e-9) return true;
+        if (usage_v_[l][v_idx(p.x, std::min(p.y, q.y))] + extra > cap_v[l] + 1e-9) return true;
       }
     }
     return false;
@@ -508,7 +511,7 @@ inline RouteResult global_route(const circuit::Netlist& nl, const place::Die& di
                   best_path = std::move(path);
                   best_level = l;
                 }
-                if (l == tp.level && !grid.path_overflows(l, best_path)) break;
+                if (l == tp.level && !grid.path_overflows(l, best_path, 1.0)) break;
               }
               rerouted[bi].level = best_level;
               rerouted[bi].path = std::move(best_path);

@@ -17,8 +17,9 @@
 // or by pasting the seed into a RandomLogicOptions in a debugger.
 //
 // The SlowPaperBench suite (label "slow") runs the five paper benchmarks at
-// their default (largest tractable) scale with full checking — too slow for
-// tier-1 but a nightly-strength sign-off.
+// their default (largest tractable) scale with full checking and requires
+// every one to route; SlowRouteClosure routes LDPC clean at twice that
+// scale. Too slow for tier-1 but a nightly-strength sign-off.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -35,6 +36,7 @@
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
 #include "gen/gen.hpp"
+#include "route_checks.hpp"
 #include "store/store.hpp"
 #include "test_fixtures.hpp"
 #include "util/log.hpp"
@@ -264,10 +266,10 @@ TEST_P(SlowPaperBench, FullCheckBothStylesAtDefaultScale) {
     o.lib = &lib_for(style);
     o.check_level = check::Level::kFull;
     const flow::FlowResult r = flow::run_flow(o);
-    // Zero violations is the gate; routability is not (LDPC's random
-    // bipartite connectivity overflows the grid at full scale by design —
-    // the checkers verify the overflow is *reported* consistently).
+    // Zero violations and a routed design: all five benchmarks, LDPC
+    // included, close routing at their default scale in both styles.
     EXPECT_TRUE(r.checks.ok()) << r.checks.summary();
+    EXPECT_TRUE(r.routed) << r.routes.overflow_edges << " overflow edges";
   }
 }
 
@@ -276,6 +278,12 @@ INSTANTIATE_TEST_SUITE_P(PaperBenches, SlowPaperBench,
                          [](const auto& info) {
                            return std::string(gen::to_string(info.param));
                          });
+
+// --- slow: LDPC routing closure at twice the default scale ----------------
+
+TEST(SlowRouteClosure, LdpcRoutesCleanAtScaleShift1) {
+  test::check_ldpc_routes_clean(1);
+}
 
 // --- slow sign-off: paper-scale iso-performance comparison ----------------
 //

@@ -160,5 +160,40 @@ TEST(Route, SinkPathsCoverEverySink) {
   }
 }
 
+TEST(Route, RerouteLeavesAPreferredLevelWithNoRoomForIt) {
+  // A 4x4 grid with room for one local wire per edge (2.8 um gcells, 1.5
+  // local tracks). Four pads in gcell column 0 each feed an inverter in
+  // column 1 on their own row, which fills every local edge across the
+  // column 0|1 cut; a fifth wire doubles up on row 0. Once that two-pin is
+  // ripped up, every local path still crosses the full cut, so it must not
+  // keep the local level: it moves one level up and the design routes clean.
+  circuit::Netlist nl;
+  auto wire = [&](int row) {
+    const double y = (row + 0.5) * 2.8;
+    const circuit::NetId n = nl.new_net();
+    nl.add_input_port("in" + std::to_string(nl.ports().size()), n);
+    nl.ports().back().pos = {1.4, y};
+    const circuit::InstId g = nl.add_gate(cells::Func::kInv, {n}, {nl.new_net()});
+    nl.inst(g).pos = {4.2, y};
+  };
+  for (int row : {0, 1, 2, 3, 0}) wire(row);
+  place::Die die;
+  die.core = geom::Rect(0.0, 0.0, 10.0, 10.0);
+  const tech::Tech tch(tech::Node::k45nm, tech::Style::k2D);
+  route::RouteOptions ro;
+  ro.gcell_um = 2.8;
+  const double local_tracks = route::global_route(nl, die, tch, ro).cap_h[route::kLocal];
+  ro.local_blockage_frac = 1.0 - 1.5 / local_tracks;
+  const auto rr = route::global_route(nl, die, tch, ro);
+  ASSERT_EQ(rr.nx, 4);
+  ASSERT_EQ(rr.ny, 4);
+  ASSERT_NEAR(rr.cap_h[route::kLocal], 1.5, 1e-9);
+  EXPECT_TRUE(rr.routed);
+  EXPECT_EQ(rr.overflow_edges, 0);
+  EXPECT_DOUBLE_EQ(rr.wl_by_level[route::kLocal], 4 * 2.8);
+  EXPECT_DOUBLE_EQ(rr.wl_by_level[route::kIntermediate], 2.8);
+  EXPECT_DOUBLE_EQ(rr.wl_by_level[route::kGlobal], 0.0);
+}
+
 }  // namespace
 }  // namespace m3d
